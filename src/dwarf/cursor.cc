@@ -1,13 +1,14 @@
 #include "dwarf/cursor.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "common/metrics.h"
 
 namespace scdwarf::dwarf {
 
 namespace {
 
-/// Same series query.cc registers — the registry dedupes by name, so both
-/// call sites feed one counter.
 metrics::Counter* RangePrunedCounter() {
   static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
       "dwarf_range_subtrees_pruned_total", {},
@@ -16,26 +17,68 @@ metrics::Counter* RangePrunedCounter() {
   return counter;
 }
 
+bool IsRankRange(const DimPredicate& pred) {
+  return pred.kind == DimPredicate::Kind::kRange && pred.by_rank;
+}
+
+/// Row key dims must be distinct dimensions of the cube. A duplicate
+/// in-range dim is reported before an out-of-range one, as a sorted scan
+/// would meet them.
+Status ValidateKeyDims(size_t num_dimensions,
+                       const std::vector<size_t>& key_dims) {
+  size_t duplicate = num_dimensions;
+  bool out_of_range = false;
+  for (size_t i = 0; i < key_dims.size(); ++i) {
+    if (key_dims[i] >= num_dimensions) {
+      out_of_range = true;
+      continue;
+    }
+    for (size_t j = 0; j < i; ++j) {
+      if (key_dims[j] == key_dims[i]) {
+        duplicate = std::min(duplicate, key_dims[i]);
+      }
+    }
+  }
+  if (duplicate < num_dimensions) {
+    return Status::InvalidArgument("duplicate group dimension " +
+                                   std::to_string(duplicate));
+  }
+  if (out_of_range) return Status::OutOfRange("group dimension out of range");
+  return Status::OK();
+}
+
 }  // namespace
 
-RowCursor::RowCursor(const DwarfCube& cube, std::vector<bool> enumerate,
-                     std::vector<std::optional<DimKey>> pinned,
-                     RankFilters filters, std::vector<size_t> order)
-    : cube_(&cube),
-      enumerate_(std::move(enumerate)),
-      pinned_(std::move(pinned)),
-      filters_(std::move(filters)),
-      order_(std::move(order)) {
-  if (!filters_.empty()) ridx_ = cube.range_index();
-  for (size_t j = 0; j < order_.size(); ++j) {
-    order_identity_ = order_identity_ && order_[j] == j;
+Result<RowCursor> RowCursor::Over(const DwarfCube& cube,
+                                  std::vector<DimStep> steps,
+                                  std::vector<size_t> key_dims) {
+  if (steps.size() != cube.num_dimensions()) {
+    return Status::InvalidArgument("traversal step arity mismatch");
   }
-  if (!cube.empty() && !Prunable(cube.root(), 0)) {
-    Frame root;
-    root.node = cube.root();
-    root.level = 0;
-    stack_.push_back(root);
+  SCD_RETURN_IF_ERROR(ValidateKeyDims(cube.num_dimensions(), key_dims));
+  for (size_t dim : key_dims) {
+    if (steps[dim].kind != DimStep::Kind::kFanOut) {
+      return Status::InvalidArgument("row key dimension " +
+                                     std::to_string(dim) +
+                                     " is rolled up, not fanned out");
+    }
   }
+  for (size_t dim = 0; dim < steps.size(); ++dim) {
+    if (steps[dim].kind == DimStep::Kind::kAll &&
+        steps[dim].pred.kind != DimPredicate::Kind::kAll) {
+      return Status::InvalidArgument("rolled-up dimension " +
+                                     std::to_string(dim) +
+                                     " carries a predicate");
+    }
+    if (IsRankRange(steps[dim].pred) &&
+        (!cube.schema().dimensions()[dim].ordered ||
+         !cube.dictionary(dim).has_rank_view())) {
+      return Status::InvalidArgument(
+          "rank range on dimension '" + cube.schema().dimensions()[dim].name +
+          "', which is not marked ordered in the cube schema");
+    }
+  }
+  return RowCursor(cube, std::move(steps), std::move(key_dims));
 }
 
 Result<RowCursor> RowCursor::OverSlice(const DwarfCube& cube, size_t fixed_dim,
@@ -43,142 +86,179 @@ Result<RowCursor> RowCursor::OverSlice(const DwarfCube& cube, size_t fixed_dim,
   if (fixed_dim >= cube.num_dimensions()) {
     return Status::OutOfRange("slice dimension out of range");
   }
-  std::vector<bool> enumerate(cube.num_dimensions(), true);
-  enumerate[fixed_dim] = false;
-  std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
-  pinned[fixed_dim] = key;
-  return RowCursor(cube, std::move(enumerate), std::move(pinned), {}, {});
+  std::vector<DimStep> steps(cube.num_dimensions(), DimStep::FanOut());
+  steps[fixed_dim] = DimStep::FanOut(DimPredicate::Point(key));
+  std::vector<size_t> key_dims;
+  for (size_t dim = 0; dim < cube.num_dimensions(); ++dim) {
+    if (dim != fixed_dim) key_dims.push_back(dim);
+  }
+  return Over(cube, std::move(steps), std::move(key_dims));
 }
 
 Result<RowCursor> RowCursor::OverRollUp(const DwarfCube& cube,
                                         const std::vector<size_t>& group_dims,
                                         const RankFilters* filters) {
-  SCD_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                       RollUpKeyOrder(cube.num_dimensions(), group_dims));
-  std::vector<bool> enumerate(cube.num_dimensions(), false);
-  for (size_t dim : group_dims) enumerate[dim] = true;
-  SCD_RETURN_IF_ERROR(ValidateRankFilters(cube, enumerate, filters));
-  std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
-  return RowCursor(cube, std::move(enumerate), std::move(pinned),
-                   filters != nullptr ? *filters : RankFilters{},
-                   std::move(order));
-}
-
-bool RowCursor::Prunable(NodeId id, size_t level) {
-  if (filters_.empty()) return false;
-  for (size_t dim = level; dim < filters_.size(); ++dim) {
-    if (!filters_[dim].has_value()) continue;
-    const RankWindow& window = *filters_[dim];
-    if (window.lo > window.hi) return true;  // empty window: no rows at all
-    if (ridx_ != nullptr && ridx_->covers(dim) &&
-        ridx_->span(id, dim).Disjoint(window.lo, window.hi)) {
-      RangePrunedCounter()->Increment();
-      return true;
+  SCD_RETURN_IF_ERROR(ValidateKeyDims(cube.num_dimensions(), group_dims));
+  std::vector<DimStep> steps(cube.num_dimensions());
+  for (size_t dim : group_dims) steps[dim] = DimStep::FanOut();
+  if (filters != nullptr) {
+    if (filters->size() != cube.num_dimensions()) {
+      return Status::InvalidArgument("rank filter arity mismatch");
+    }
+    for (size_t dim = 0; dim < filters->size(); ++dim) {
+      if (!(*filters)[dim].has_value()) continue;
+      if (steps[dim].kind != DimStep::Kind::kFanOut) {
+        return Status::InvalidArgument(
+            "rank filter on dimension '" +
+            cube.schema().dimensions()[dim].name +
+            "', which is not a grouped dimension of this roll-up");
+      }
+      steps[dim].pred =
+          DimPredicate::RankRange((*filters)[dim]->lo, (*filters)[dim]->hi);
     }
   }
-  return false;
+  return Over(cube, std::move(steps), group_dims);
 }
 
-void RowCursor::EmitRow(Measure measure, std::vector<SliceRow>* out) {
-  SliceRow row;
-  row.measure = measure;
-  if (order_identity_) {
-    row.keys = labels_;
-  } else {
-    row.keys.resize(order_.size());
-    for (size_t j = 0; j < order_.size(); ++j) row.keys[j] = labels_[order_[j]];
+RowCursor::RowCursor(const DwarfCube& cube, std::vector<DimStep> steps,
+                     std::vector<size_t> key_dims)
+    : cube_(&cube),
+      steps_(std::move(steps)),
+      key_dims_(std::move(key_dims)),
+      leaf_level_(cube.num_dimensions() - 1) {
+  // A range with lo > hi, or a pinned key the dictionary never assigned,
+  // matches no cell: the cursor is born exhausted.
+  bool matches_nothing = false;
+  for (size_t dim = 0; dim < steps_.size(); ++dim) {
+    const DimPredicate& pred = steps_[dim].pred;
+    if ((pred.kind == DimPredicate::Kind::kRange && pred.lo > pred.hi) ||
+        (pred.kind == DimPredicate::Kind::kPoint &&
+         pred.point >= cube.dictionary(dim).size())) {
+      matches_nothing = true;
+    }
+    if (IsRankRange(pred) && cube.range_index() != nullptr &&
+        cube.range_index()->covers(dim)) {
+      rank_dims_.push_back(dim);
+    }
   }
-  out->push_back(std::move(row));
+  if (!rank_dims_.empty()) ridx_ = cube.range_index();
+  // Frames point into their own ALL cells, so the stack must never move.
+  frames_.reserve(steps_.size());
+  if (!cube.empty() && !matches_nothing) Push(cube.root());
 }
 
-void RowCursor::PopFrame() {
-  if (stack_.back().pushed_label) labels_.pop_back();
-  stack_.pop_back();
+void RowCursor::Push(NodeId id) {
+  const size_t level = frames_.size();
+  for (size_t dim : rank_dims_) {
+    if (dim < level) continue;
+    const DimPredicate& window = steps_[dim].pred;
+    if (ridx_->span(id, dim).Disjoint(window.lo, window.hi)) {
+      ++pruned_;
+      return;
+    }
+  }
+  const NodeView node = cube_->node(id);
+  Frame& frame = frames_.emplace_back();
+  const DwarfCell* first = node.cells.begin();
+  const DwarfCell* last = node.cells.end();
+  const DimStep& step = steps_[level];
+  if (step.kind == DimStep::Kind::kAll) {
+    // A node with no cells has no ALL cell either: it contributes nothing.
+    if (first == last) return;
+    frame.all.child = node.all_child;
+    frame.all.measure = node.all_measure;
+    frame.end = &frame.all + 1;
+    if (level == leaf_level_) {
+      frame.next = &frame.all;
+      return;
+    }
+    // The only cell is taken at once: descend without another loop turn.
+    frame.next = frame.end;
+    Push(node.all_child);
+    return;
+  }
+  frame.next = first;
+  frame.end = last;
+  const DimPredicate& pred = step.pred;
+  if (pred.kind == DimPredicate::Kind::kPoint) {
+    const DwarfCell* cell = node.FindCell(pred.point);
+    if (cell == nullptr) {
+      frame.next = last;
+    } else {
+      frame.next = cell;
+      frame.end = cell + 1;
+    }
+  } else if (pred.kind == DimPredicate::Kind::kRange && !pred.by_rank) {
+    // Cells are sorted by key, so an id window is a contiguous run.
+    auto key_less = [](const DwarfCell& cell, DimKey key) {
+      return cell.key < key;
+    };
+    auto key_greater = [](DimKey key, const DwarfCell& cell) {
+      return key < cell.key;
+    };
+    frame.next = std::lower_bound(first, last, pred.lo, key_less);
+    frame.end = std::upper_bound(frame.next, last, pred.hi, key_greater);
+  } else if (pred.kind != DimPredicate::Kind::kAll) {
+    frame.scan = &pred;  // a rank window or a key set
+  }
+}
+
+bool RowCursor::NextMeasure(Measure* measure) {
+  while (!frames_.empty()) {
+    const size_t level = frames_.size() - 1;
+    Frame& frame = frames_.back();
+    const DwarfCell* cell = frame.next;
+    if (frame.scan != nullptr) {
+      const Dictionary& dict = cube_->dictionary(level);
+      while (cell != frame.end &&
+             !frame.scan->MatchesInCube(cell->key, dict)) {
+        ++cell;
+      }
+    }
+    if (cell == frame.end) {
+      frames_.pop_back();
+      continue;
+    }
+    frame.next = cell + 1;
+    if (level == leaf_level_) {
+      *measure = cell->measure;
+      ++rows_emitted_;
+      return true;
+    }
+    Push(cell->child);
+  }
+  FlushPruned();
+  return false;
 }
 
 size_t RowCursor::Next(size_t max_rows, std::vector<SliceRow>* out) {
   size_t produced = 0;
-  while (produced < max_rows && !stack_.empty()) {
-    Frame& frame = stack_.back();
-    const NodeView node = cube_->node(frame.node);
-    bool leaf = static_cast<size_t>(frame.level) + 1 == cube_->num_dimensions();
-    if (enumerate_[frame.level]) {
-      if (frame.next_cell == node.cells.size()) {
-        PopFrame();
-        continue;
-      }
-      const DwarfCell& cell = node.cells[frame.next_cell++];
-      if (!filters_.empty() && filters_[frame.level].has_value()) {
-        const RankWindow& window = *filters_[frame.level];
-        DimKey rank = cube_->dictionary(frame.level).RankOf(cell.key);
-        if (rank < window.lo || rank > window.hi) continue;
-      }
-      labels_.push_back(cube_->dictionary(frame.level).DecodeUnchecked(cell.key));
-      if (leaf) {
-        EmitRow(cell.measure, out);
-        labels_.pop_back();
-        ++produced;
-      } else if (Prunable(cell.child, frame.level + 1)) {
-        labels_.pop_back();
-      } else {
-        Frame child;
-        child.node = cell.child;
-        child.level = static_cast<uint16_t>(frame.level + 1);
-        child.pushed_label = true;  // pops the label pushed above
-        stack_.push_back(child);    // invalidates `frame`
-      }
-      continue;
+  Measure measure = 0;
+  while (produced < max_rows && NextMeasure(&measure)) {
+    SliceRow& row = out->emplace_back();
+    row.measure = measure;
+    row.keys.reserve(key_dims_.size());
+    for (size_t dim : key_dims_) {
+      row.keys.push_back(
+          cube_->dictionary(dim).DecodeUnchecked(frames_[dim].next[-1].key));
     }
-    if (pinned_[frame.level].has_value()) {
-      if (frame.entered) {
-        PopFrame();
-        continue;
-      }
-      frame.entered = true;
-      const DwarfCell* cell = node.FindCell(*pinned_[frame.level]);
-      if (cell == nullptr) {
-        PopFrame();
-        continue;
-      }
-      if (leaf) {
-        EmitRow(cell->measure, out);
-        ++produced;
-        PopFrame();
-        continue;
-      }
-      if (Prunable(cell->child, frame.level + 1)) {
-        PopFrame();
-        continue;
-      }
-      Frame child;
-      child.node = cell->child;
-      child.level = static_cast<uint16_t>(frame.level + 1);
-      stack_.push_back(child);
-      continue;
-    }
-    // Rolled-up dimension: follow the precomputed ALL cell.
-    if (frame.entered) {
-      PopFrame();
-      continue;
-    }
-    frame.entered = true;
-    if (leaf) {
-      EmitRow(node.all_measure, out);
-      ++produced;
-      PopFrame();
-      continue;
-    }
-    if (Prunable(node.all_child, frame.level + 1)) {
-      PopFrame();
-      continue;
-    }
-    Frame child;
-    child.node = node.all_child;
-    child.level = static_cast<uint16_t>(frame.level + 1);
-    stack_.push_back(child);
+    ++produced;
   }
-  rows_emitted_ += produced;
+  FlushPruned();
   return produced;
+}
+
+void RowCursor::FlushPruned() {
+  if (pruned_ == 0) return;
+  RangePrunedCounter()->Increment(pruned_);
+  pruned_ = 0;
+}
+
+Result<std::vector<SliceRow>> Drain(Result<RowCursor> cursor) {
+  if (!cursor.ok()) return cursor.status();
+  std::vector<SliceRow> rows;
+  cursor->Next(std::numeric_limits<size_t>::max(), &rows);
+  return rows;
 }
 
 }  // namespace scdwarf::dwarf

@@ -1,46 +1,8 @@
 #include "dwarf/query.h"
 
-#include <algorithm>
-
-#include "common/metrics.h"
+#include "dwarf/cursor.h"
 
 namespace scdwarf::dwarf {
-
-namespace {
-
-/// Subtrees skipped via the ordered-dim min/max-rank sidecar. Shared with
-/// cursor.cc by name: the registry hands back one counter per series.
-metrics::Counter* RangePrunedCounter() {
-  static metrics::Counter* const counter = metrics::GlobalRegistry().GetCounter(
-      "dwarf_range_subtrees_pruned_total", {},
-      "subtrees skipped because their min/max-rank span misses a range "
-      "predicate's window");
-  return counter;
-}
-
-}  // namespace
-
-bool DimPredicate::Matches(DimKey key) const {
-  switch (kind) {
-    case Kind::kAll:
-      return true;
-    case Kind::kPoint:
-      return key == point;
-    case Kind::kRange:
-      return key >= lo && key <= hi;
-    case Kind::kSet:
-      return std::find(keys.begin(), keys.end(), key) != keys.end();
-  }
-  return false;
-}
-
-bool DimPredicate::MatchesInCube(DimKey key, const Dictionary& dict) const {
-  if (kind == Kind::kRange && by_rank) {
-    DimKey rank = dict.RankOf(key);
-    return rank >= lo && rank <= hi;
-  }
-  return Matches(key);
-}
 
 Status ValidatePredicates(const DwarfCube& cube,
                           const std::vector<DimPredicate>& predicates) {
@@ -110,275 +72,40 @@ Result<Measure> PointQueryByName(
   return PointQuery(cube, encoded);
 }
 
-namespace {
-
-/// Recursive evaluator for AggregateQuery.
-struct AggregateEvaluator {
-  const DwarfCube& cube;
-  const std::vector<DimPredicate>& predicates;
-  AggFn agg;
-  Measure accumulated;
-  bool found = false;
-  /// Dims with a pending rank-range predicate, for subtree span pruning
-  /// (empty when the query has no rank ranges — zero per-node overhead).
-  std::vector<size_t> rank_dims;
-  const RangeIndex* ridx = nullptr;
-  uint64_t pruned = 0;
-
-  void Visit(NodeId id, size_t level) {
-    if (ridx != nullptr) {
-      for (size_t dim : rank_dims) {
-        if (dim < level) continue;
-        const DimPredicate& rp = predicates[dim];
-        if (ridx->span(id, dim).Disjoint(rp.lo, rp.hi)) {
-          ++pruned;
-          return;
-        }
-      }
-    }
-    const NodeView node = cube.node(id);
-    const DimPredicate& pred = predicates[level];
-    bool leaf = level + 1 == predicates.size();
-    if (pred.kind == DimPredicate::Kind::kAll) {
-      // Use the precomputed ALL aggregate instead of fanning out.
-      if (leaf) {
-        if (!node.cells.empty()) {
-          accumulated = AggCombine(agg, accumulated, node.all_measure);
-          found = true;
-        }
-      } else {
-        Visit(node.all_child, level + 1);
-      }
-      return;
-    }
-    if (pred.kind == DimPredicate::Kind::kPoint) {
-      const DwarfCell* cell = node.FindCell(pred.point);
-      if (cell == nullptr) return;
-      if (leaf) {
-        accumulated = AggCombine(agg, accumulated, cell->measure);
-        found = true;
-      } else {
-        Visit(cell->child, level + 1);
-      }
-      return;
-    }
-    if (pred.kind == DimPredicate::Kind::kRange && !pred.by_rank) {
-      // Cells are sorted by key, so an id range is a contiguous window.
-      auto it = std::lower_bound(
-          node.cells.begin(), node.cells.end(), pred.lo,
-          [](const DwarfCell& cell, DimKey k) { return cell.key < k; });
-      for (; it != node.cells.end() && it->key <= pred.hi; ++it) {
-        Take(*it, leaf, level);
-      }
-      return;
-    }
-    const Dictionary& dict = cube.dictionary(level);
-    for (const DwarfCell& cell : node.cells) {
-      if (!pred.MatchesInCube(cell.key, dict)) continue;
-      Take(cell, leaf, level);
-    }
-  }
-
-  void Take(const DwarfCell& cell, bool leaf, size_t level) {
-    if (leaf) {
-      accumulated = AggCombine(agg, accumulated, cell.measure);
-      found = true;
-    } else {
-      Visit(cell.child, level + 1);
-    }
-  }
-};
-
-}  // namespace
-
 Result<Measure> AggregateQuery(const DwarfCube& cube,
                                const std::vector<DimPredicate>& predicates) {
   SCD_RETURN_IF_ERROR(ValidatePredicates(cube, predicates));
   if (cube.empty()) return Status::NotFound("cube is empty");
-  AggregateEvaluator evaluator{cube,  predicates, cube.agg(),
-                               AggIdentity(cube.agg()),
-                               false, {},         nullptr,
-                               0};
-  for (size_t dim = 0; dim < predicates.size(); ++dim) {
-    if (predicates[dim].kind == DimPredicate::Kind::kRange &&
-        predicates[dim].by_rank) {
-      evaluator.rank_dims.push_back(dim);
-    }
+  std::vector<DimStep> steps;
+  steps.reserve(predicates.size());
+  for (const DimPredicate& pred : predicates) {
+    steps.push_back(pred.kind == DimPredicate::Kind::kAll
+                        ? DimStep::All()
+                        : DimStep::FanOut(pred));
   }
-  if (!evaluator.rank_dims.empty()) evaluator.ridx = cube.range_index();
-  evaluator.Visit(cube.root(), 0);
-  if (evaluator.pruned > 0) RangePrunedCounter()->Increment(evaluator.pruned);
-  if (!evaluator.found) return Status::NotFound("no tuples match the query");
-  return evaluator.accumulated;
+  SCD_ASSIGN_OR_RETURN(RowCursor cursor,
+                       RowCursor::Over(cube, std::move(steps), {}));
+  const AggFn agg = cube.agg();
+  Measure accumulated = AggIdentity(agg);
+  Measure measure = 0;
+  bool found = false;
+  while (cursor.NextMeasure(&measure)) {
+    accumulated = AggCombine(agg, accumulated, measure);
+    found = true;
+  }
+  if (!found) return Status::NotFound("no tuples match the query");
+  return accumulated;
 }
-
-Status ValidateRankFilters(const DwarfCube& cube,
-                           const std::vector<bool>& enumerate,
-                           const RankFilters* filters) {
-  if (filters == nullptr) return Status::OK();
-  if (filters->size() != cube.num_dimensions()) {
-    return Status::InvalidArgument("rank filter arity mismatch");
-  }
-  for (size_t dim = 0; dim < filters->size(); ++dim) {
-    if (!(*filters)[dim].has_value()) continue;
-    const std::string& name = cube.schema().dimensions()[dim].name;
-    if (!enumerate[dim]) {
-      return Status::InvalidArgument(
-          "rank filter on dimension '" + name +
-          "', which is not a grouped dimension of this roll-up");
-    }
-    if (!cube.schema().dimensions()[dim].ordered ||
-        !cube.dictionary(dim).has_rank_view()) {
-      return Status::InvalidArgument(
-          "rank filter on dimension '" + name +
-          "', which is not marked ordered in the cube schema");
-    }
-  }
-  return Status::OK();
-}
-
-Result<std::vector<size_t>> RollUpKeyOrder(
-    size_t num_dimensions, const std::vector<size_t>& group_dims) {
-  std::vector<size_t> sorted = group_dims;
-  std::sort(sorted.begin(), sorted.end());
-  for (size_t i = 0; i < sorted.size(); ++i) {
-    if (sorted[i] >= num_dimensions) {
-      return Status::OutOfRange("group dimension out of range");
-    }
-    if (i > 0 && sorted[i] == sorted[i - 1]) {
-      return Status::InvalidArgument("duplicate group dimension " +
-                                     std::to_string(sorted[i]));
-    }
-  }
-  // The enumerator emits one key per grouped dim in ascending dimension
-  // order; position j of the requested order reads the key at the dim's
-  // ascending position.
-  std::vector<size_t> order(group_dims.size());
-  for (size_t j = 0; j < group_dims.size(); ++j) {
-    order[j] = static_cast<size_t>(
-        std::lower_bound(sorted.begin(), sorted.end(), group_dims[j]) -
-        sorted.begin());
-  }
-  return order;
-}
-
-namespace {
-
-/// Shared enumerator for Slice and RollUp: dims in `enumerate` are grouped
-/// (cells fanned out and labels recorded); dims with a pinned key filter to
-/// that key; all remaining dims roll up through the ALL pointer. Grouped
-/// dims may carry a rank window; subtrees whose span misses a pending
-/// window are pruned through the cube's range index.
-struct Enumerator {
-  const DwarfCube& cube;
-  const std::vector<bool>& enumerate;
-  const std::vector<std::optional<DimKey>>& pinned;
-  std::vector<SliceRow>* rows;
-  const RankFilters* filters = nullptr;
-  const RangeIndex* ridx = nullptr;
-  uint64_t pruned = 0;
-  std::vector<std::string> labels;
-
-  bool Prunable(NodeId id, size_t level) {
-    if (filters == nullptr) return false;
-    for (size_t dim = level; dim < filters->size(); ++dim) {
-      if (!(*filters)[dim].has_value()) continue;
-      const RankWindow& window = *(*filters)[dim];
-      if (window.lo > window.hi) return true;  // empty window: no rows
-      if (ridx != nullptr && ridx->covers(dim) &&
-          ridx->span(id, dim).Disjoint(window.lo, window.hi)) {
-        ++pruned;
-        return true;
-      }
-    }
-    return false;
-  }
-
-  void Visit(NodeId id, size_t level) {
-    if (Prunable(id, level)) return;
-    const NodeView node = cube.node(id);
-    bool leaf = level + 1 == cube.num_dimensions();
-    if (enumerate[level]) {
-      const Dictionary& dict = cube.dictionary(level);
-      const std::optional<RankWindow>& window =
-          filters != nullptr ? (*filters)[level] : std::optional<RankWindow>{};
-      for (const DwarfCell& cell : node.cells) {
-        if (window.has_value()) {
-          DimKey rank = dict.RankOf(cell.key);
-          if (rank < window->lo || rank > window->hi) continue;
-        }
-        labels.push_back(dict.DecodeUnchecked(cell.key));
-        Emit(node, cell, leaf, level);
-        labels.pop_back();
-      }
-    } else if (pinned[level].has_value()) {
-      const DwarfCell* cell = node.FindCell(*pinned[level]);
-      if (cell != nullptr) Emit(node, *cell, leaf, level);
-    } else {
-      if (leaf) {
-        rows->push_back({labels, node.all_measure});
-      } else {
-        Visit(node.all_child, level + 1);
-      }
-    }
-  }
-
-  void Emit(const NodeView&, const DwarfCell& cell, bool leaf, size_t level) {
-    if (leaf) {
-      rows->push_back({labels, cell.measure});
-    } else {
-      Visit(cell.child, level + 1);
-    }
-  }
-};
-
-}  // namespace
 
 Result<std::vector<SliceRow>> Slice(const DwarfCube& cube, size_t fixed_dim,
                                     DimKey key) {
-  if (fixed_dim >= cube.num_dimensions()) {
-    return Status::OutOfRange("slice dimension out of range");
-  }
-  if (cube.empty()) return std::vector<SliceRow>{};
-  std::vector<bool> enumerate(cube.num_dimensions(), true);
-  enumerate[fixed_dim] = false;
-  std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
-  pinned[fixed_dim] = key;
-  std::vector<SliceRow> rows;
-  Enumerator enumerator{cube, enumerate, pinned, &rows, nullptr, nullptr, 0, {}};
-  enumerator.Visit(cube.root(), 0);
-  return rows;
+  return Drain(RowCursor::OverSlice(cube, fixed_dim, key));
 }
 
 Result<std::vector<SliceRow>> RollUp(const DwarfCube& cube,
                                      const std::vector<size_t>& group_dims,
                                      const RankFilters* filters) {
-  SCD_ASSIGN_OR_RETURN(std::vector<size_t> order,
-                       RollUpKeyOrder(cube.num_dimensions(), group_dims));
-  std::vector<bool> enumerate(cube.num_dimensions(), false);
-  for (size_t dim : group_dims) enumerate[dim] = true;
-  SCD_RETURN_IF_ERROR(ValidateRankFilters(cube, enumerate, filters));
-  if (cube.empty()) return std::vector<SliceRow>{};
-  std::vector<std::optional<DimKey>> pinned(cube.num_dimensions());
-  std::vector<SliceRow> rows;
-  Enumerator enumerator{cube,    enumerate,          pinned, &rows,
-                        filters, cube.range_index(), 0,      {}};
-  enumerator.Visit(cube.root(), 0);
-  if (enumerator.pruned > 0) RangePrunedCounter()->Increment(enumerator.pruned);
-  // Row keys come out of the enumerator in ascending dimension order;
-  // reorder to the caller's requested group_dims order.
-  bool identity = true;
-  for (size_t j = 0; j < order.size(); ++j) identity = identity && order[j] == j;
-  if (!identity) {
-    std::vector<std::string> reordered(order.size());
-    for (SliceRow& row : rows) {
-      for (size_t j = 0; j < order.size(); ++j) {
-        reordered[j] = std::move(row.keys[order[j]]);
-      }
-      row.keys.swap(reordered);
-    }
-  }
-  return rows;
+  return Drain(RowCursor::OverRollUp(cube, group_dims, filters));
 }
 
 }  // namespace scdwarf::dwarf

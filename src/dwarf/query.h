@@ -1,12 +1,18 @@
 /// \file query.h
-/// \brief Query primitives over a DwarfCube: point queries with ALL
-/// wildcards, range/set aggregate queries and slice extraction. These are the
-/// "efficient query primitives" the paper's conclusion targets for cube
-/// updates and retrieval.
+/// \brief Query primitives over a DwarfCube, the operators of one cube
+/// algebra: point queries with ALL wildcards, aggregates under one predicate
+/// per dimension, slices and roll-ups.
+///
+/// PointQuery walks one root-to-leaf path. Every other primitive drains a
+/// RowCursor (cursor.h), the one traversal kernel: Slice and RollUp decode
+/// the rows' keys, AggregateQuery combines the rows' measures without
+/// decoding any label. A paged cursor therefore returns exactly the one-shot
+/// rows, and rank-window pruning lives in the kernel alone.
 
 #ifndef SCDWARF_DWARF_QUERY_H_
 #define SCDWARF_DWARF_QUERY_H_
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -65,11 +71,30 @@ struct DimPredicate {
 
   /// True when \p key satisfies this predicate. Valid for id-space
   /// predicates only (by_rank ranges need a dictionary; see MatchesInCube).
-  bool Matches(DimKey key) const;
+  bool Matches(DimKey key) const {
+    switch (kind) {
+      case Kind::kAll:
+        return true;
+      case Kind::kPoint:
+        return key == point;
+      case Kind::kRange:
+        return key >= lo && key <= hi;
+      case Kind::kSet:
+        return std::find(keys.begin(), keys.end(), key) != keys.end();
+    }
+    return false;
+  }
 
   /// Matches() with rank resolution: a by_rank range tests the key's
-  /// value-order rank in \p dict (which must carry a rank view).
-  bool MatchesInCube(DimKey key, const Dictionary& dict) const;
+  /// value-order rank in \p dict (which must carry a rank view). Inline:
+  /// the traversal kernel calls it once per scanned cell.
+  bool MatchesInCube(DimKey key, const Dictionary& dict) const {
+    if (kind == Kind::kRange && by_rank) {
+      DimKey rank = dict.RankOf(key);
+      return rank >= lo && rank <= hi;
+    }
+    return Matches(key);
+  }
 };
 
 /// \brief Validates \p predicates against \p cube: one predicate per
@@ -93,13 +118,12 @@ Result<Measure> PointQueryByName(
 
 /// \brief General aggregate query: applies one predicate per dimension and
 /// aggregates all matching leaf measures with the cube's aggregate function.
-/// ALL predicates use the precomputed ALL sub-dwarfs; other predicates fan
-/// out over matching cells — except ranges, which bound the fan-out: id
-/// ranges binary-search the sorted cell window, and rank ranges additionally
-/// skip whole subtrees whose min/max-rank span (cube.range_index()) is
-/// disjoint from the window (counted by dwarf_range_subtrees_pruned_total).
-/// Returns NotFound when nothing matches; InvalidArgument for a range with
-/// lo > hi or a rank range on an unordered dimension.
+/// ALL predicates follow the precomputed ALL cells; other predicates fan out
+/// over the cells they admit: id ranges binary-search the sorted cell
+/// window, and rank ranges skip whole subtrees whose min/max-rank span
+/// (cube.range_index()) misses the window. A node with no cells contributes
+/// nothing. Returns NotFound when nothing matches; InvalidArgument for a
+/// range with lo > hi or a rank range on an unordered dimension.
 Result<Measure> AggregateQuery(const DwarfCube& cube,
                                const std::vector<DimPredicate>& predicates);
 
@@ -111,7 +135,8 @@ struct SliceRow {
 };
 
 /// \brief Materializes the sub-cube where dimension \p fixed_dim equals
-/// \p key, grouped by every remaining dimension (a classic OLAP slice).
+/// \p key, grouped by every remaining dimension (a classic OLAP slice). Rows
+/// come in ascending cell-id order per level.
 Result<std::vector<SliceRow>> Slice(const DwarfCube& cube, size_t fixed_dim,
                                     DimKey key);
 
@@ -128,31 +153,16 @@ struct RankWindow {
 /// grouped (enumerated) dims, and require the dim to be schema-ordered.
 using RankFilters = std::vector<std::optional<RankWindow>>;
 
-/// \brief Validates roll-up rank filters: one slot per cube dimension, and
-/// every set window must sit on a grouped (\p enumerate) dimension that the
-/// schema marks ordered. Shared by the one-shot RollUp and RowCursor.
-Status ValidateRankFilters(const DwarfCube& cube,
-                           const std::vector<bool>& enumerate,
-                           const RankFilters* filters);
-
-/// \brief Permutation taking ascending-dimension-order roll-up row keys to
-/// the caller's requested \p group_dims order: `out[j] = keys[order[j]]`.
-/// Shared by RollUp and RowCursor so paginated rows are byte-identical to
-/// one-shot rows. Rejects duplicate (InvalidArgument) and out-of-range
-/// (OutOfRange) group dims.
-Result<std::vector<size_t>> RollUpKeyOrder(size_t num_dimensions,
-                                           const std::vector<size_t>& group_dims);
-
 /// \brief Group-by over a subset of dimensions (roll-up of the rest):
 /// returns one row per distinct combination of \p group_dims values, with
 /// all other dimensions rolled up through their ALL cells. Row keys are in
-/// *requested* \p group_dims order (not cube dimension order); duplicate
-/// group dims are InvalidArgument.
+/// *requested* \p group_dims order (not cube dimension order).
 ///
 /// \p filters, when non-null, restricts grouped ordered dims to rank
 /// windows; subtrees whose min/max-rank span misses a window are pruned via
 /// cube.range_index(). Filters on non-grouped or unordered dims are
-/// InvalidArgument.
+/// InvalidArgument, and so are duplicate group dims; a group dim past the
+/// cube is OutOfRange.
 Result<std::vector<SliceRow>> RollUp(const DwarfCube& cube,
                                      const std::vector<size_t>& group_dims,
                                      const RankFilters* filters = nullptr);

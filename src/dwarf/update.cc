@@ -5,6 +5,7 @@
 #include "common/metrics.h"
 #include "common/stopwatch.h"
 #include "common/trace.h"
+#include "dwarf/cursor.h"
 #include "dwarf/merge.h"
 
 namespace scdwarf::dwarf {
@@ -180,20 +181,19 @@ Result<DwarfCube> MaterializeSubCube(
     return Status::InvalidArgument("sub-cube predicate arity mismatch");
   }
   SCD_RETURN_IF_ERROR(ValidatePredicates(cube, predicates));
-  SCD_ASSIGN_OR_RETURN(std::vector<SliceRow> base, ExtractBaseTuples(cube));
+  // Every dimension labelled, each filtered by its predicate: the rows are
+  // exactly the matching base tuples.
+  std::vector<DimStep> steps;
+  std::vector<size_t> key_dims;
+  for (size_t dim = 0; dim < predicates.size(); ++dim) {
+    steps.push_back(DimStep::FanOut(predicates[dim]));
+    key_dims.push_back(dim);
+  }
+  SCD_ASSIGN_OR_RETURN(std::vector<SliceRow> rows,
+                       Drain(RowCursor::Over(cube, std::move(steps),
+                                            std::move(key_dims))));
   DwarfBuilder builder(cube.schema());
-  for (const SliceRow& row : base) {
-    bool match = true;
-    for (size_t dim = 0; dim < predicates.size(); ++dim) {
-      // Base tuples carry decoded keys; translate through the dictionary.
-      // MatchesInCube resolves by_rank ranges against the rank view.
-      auto key = cube.dictionary(dim).Lookup(row.keys[dim]);
-      if (!key.ok() || !predicates[dim].MatchesInCube(*key, cube.dictionary(dim))) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
+  for (const SliceRow& row : rows) {
     SCD_RETURN_IF_ERROR(builder.AddAggregatedTuple(row.keys, row.measure));
   }
   return std::move(builder).Build();

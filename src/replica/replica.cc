@@ -29,7 +29,7 @@ ReplicaServer::ReplicaServer(ReplicaOptions options)
       load_failures_(metrics::GlobalRegistry().GetCounter(
           "replica_snapshot_load_failures_total", {},
           "spool snapshot files that failed to load (truncated, bad magic, "
-          "mid-rename garbage) and were skipped")),
+          "a version other than v3, mid-rename garbage) and were skipped")),
       catchup_loads_(metrics::GlobalRegistry().GetCounter(
           "replica_catchup_loads_total", {},
           "snapshot files loaded by spool catch-up (start-up fast-forward or "

@@ -5,8 +5,7 @@
 /// kernel page cache holds a single copy of the file bytes no matter how
 /// many replicas on the machine map it.
 ///
-/// File layout, current version v3 (all integers little-endian, strings
-/// length-prefixed):
+/// File layout, v3 (all integers little-endian, strings length-prefixed):
 ///
 ///   "SCDWCUBE"  u32 version  u64 epoch
 ///   schema      (name, dimensions + dimension tables + ordered flags,
@@ -23,9 +22,12 @@
 /// loading validates the arrays in place (id bounds, level monotonicity,
 /// strict cell sort) and points the cube at the mapping, which stays mapped
 /// for the cube's lifetime via the arena's keepalive handle — replica load
-/// is validate-and-point, not rebuild. v1 (unordered dims, per-node records)
-/// and v2 (ordered flags, per-node records) still load through the
-/// CubeAssembler rebuild path.
+/// is validate-and-point, not rebuild. v3 is the only version a reader
+/// accepts: a file of any other version is an InvalidArgument naming it, and
+/// a replica counts and skips it like a corrupt file. The spool holds only
+/// the trailing retain_epochs files (QueryServer prunes it after each
+/// write), so files a publisher of an older format left behind age out once
+/// the current publisher has spooled retain_epochs epochs.
 ///
 /// Nodes are written in arena-id order *including dead merge slots* (ids an
 /// incremental merge left unreachable), so node ids survive the round trip

@@ -1,7 +1,9 @@
 #include "server/query_server.h"
 
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <iterator>
@@ -175,6 +177,20 @@ void QueryServer::SpoolSnapshot(uint64_t epoch) {
     return;
   }
   if (options_.post_publish) options_.post_publish(epoch, path);
+  // Once the replicas are told, keep the trailing retain_epochs files up to
+  // this epoch. Files past it (and temp files, which ListSnapshots does not
+  // match) are not ours to judge; a failed listing or unlink only leaves an
+  // extra file behind.
+  Result<std::vector<replica::SnapshotFileEntry>> spooled =
+      replica::ListSnapshots(options_.snapshot_dir);
+  if (spooled.ok()) {
+    const size_t retain = std::max<size_t>(options_.retain_epochs, 1);
+    size_t kept = 0;
+    for (auto it = spooled->rbegin(); it != spooled->rend(); ++it) {
+      if (it->epoch > epoch || ++kept <= retain) continue;
+      ::unlink(it->path.c_str());
+    }
+  }
 }
 
 Status QueryServer::WriteSnapshotFile(const dwarf::DwarfCube& cube,

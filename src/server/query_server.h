@@ -86,6 +86,8 @@ struct ServerOptions {
   /// When non-empty, the server spools each published epoch (including the
   /// initial cube, as epoch initial_epoch) to
   /// `<snapshot_dir>/epoch-<NNN>.cf` — the fan-out feed replicas load from.
+  /// After each write it deletes the spooled epochs older than the trailing
+  /// retain_epochs; files of later epochs and temp files stay.
   std::string snapshot_dir;
 
   /// Epochs kept reachable for epoch-pinned query_open (router failover),
@@ -254,9 +256,10 @@ class QueryServer : public FrameHandler {
   std::string HandleLoadSnapshot(const QueryRequest& request);
   size_t ReapIdleSessionsLocked(double now);  // requires sessions_mu_
   std::string BuildStatsPayload() const;
-  /// Writes the current cube as \p epoch into options_.snapshot_dir and
-  /// invokes post_publish; failures are reported on stderr, never thrown
-  /// into the serving path. No-op when snapshot_dir is unset.
+  /// Writes the current cube as \p epoch into options_.snapshot_dir, invokes
+  /// post_publish, then prunes the spool to the trailing retain_epochs;
+  /// failures are reported on stderr, never thrown into the serving path.
+  /// No-op when snapshot_dir is unset.
   void SpoolSnapshot(uint64_t epoch);
   /// Serializes \p cube as \p epoch into options_.snapshot_dir; on success
   /// fills \p path_out and bumps the publish metrics.

@@ -651,31 +651,9 @@ ExecResult ExecuteRequest(const dwarf::DwarfCube& cube,
       }
       return MeasureResult(dwarf::AggregateQuery(cube, *predicates));
     }
-    case RequestOp::kSlice: {
-      auto dim = cube.schema().DimensionIndex(request.slice_dim);
-      if (!dim.ok()) return {false, MakeErrorPayload(dim.status())};
-      auto key = cube.dictionary(*dim).Lookup(request.slice_key);
-      if (!key.ok()) {
-        // A value the dictionary has never seen selects the empty sub-cube.
-        return RowsResult(std::vector<dwarf::SliceRow>{});
-      }
-      return RowsResult(dwarf::Slice(cube, *dim, *key));
-    }
-    case RequestOp::kRollUp: {
-      std::vector<size_t> dims;
-      dims.reserve(request.rollup_dims.size());
-      for (const std::string& name : request.rollup_dims) {
-        auto dim = cube.schema().DimensionIndex(name);
-        if (!dim.ok()) return {false, MakeErrorPayload(dim.status())};
-        dims.push_back(*dim);
-      }
-      dwarf::RankFilters filters;
-      Status resolved = ResolveRollupFilters(cube, request.rollup_where,
-                                             &filters);
-      if (!resolved.ok()) return {false, MakeErrorPayload(resolved)};
-      return RowsResult(dwarf::RollUp(
-          cube, dims, filters.empty() ? nullptr : &filters));
-    }
+    case RequestOp::kSlice:
+    case RequestOp::kRollUp:
+      return RowsResult(dwarf::Drain(OpenRowCursor(cube, request)));
     case RequestOp::kStats:
     case RequestOp::kMetrics:
     case RequestOp::kMetricsText:

@@ -198,10 +198,11 @@ struct ExecResult {
 ExecResult ExecuteRequest(const dwarf::DwarfCube& cube,
                           const QueryRequest& request);
 
-/// \brief Opens a resumable row cursor for the query wrapped by a
-/// "query_open" request (\p query must be a slice or rollup). A slice key
-/// the dictionary has never seen yields an immediately-exhausted cursor —
-/// the same empty row set the one-shot path returns.
+/// \brief Opens a resumable row cursor for a slice or rollup \p query:
+/// resolves dimension names and rollup "where" ranges against \p cube. A
+/// slice key the dictionary has never seen yields an immediately-exhausted
+/// cursor (the empty sub-cube). ExecuteRequest answers one-shot slices and
+/// rollups by draining this cursor, so both paths share one resolution.
 Result<dwarf::RowCursor> OpenRowCursor(const dwarf::DwarfCube& cube,
                                        const QueryRequest& query);
 

@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "dwarf/builder.h"
+#include "dwarf/cursor.h"
 #include "dwarf/query.h"
 #include "dwarf/update.h"
 
@@ -567,6 +568,182 @@ TEST(OrderedDimTest, MaterializeSubCubeHonorsRankRanges) {
   ASSERT_TRUE(sub.ok()) << sub.status();
   EXPECT_EQ(sub->stats().tuple_count, 2u);
 }
+
+// ---------------------------------------------------------------------------
+// Row oracle: Slice, RollUp and RowCursor pages against a brute-force
+// group-by over the base tuples, which shares no code with the traversal
+// kernel. Rows come in ascending cell-id order per level (the order of the
+// grouped dims' ids, compared dimension by dimension), with keys permuted to
+// the requested group_dims order.
+
+using RowList = std::vector<std::pair<std::vector<std::string>, Measure>>;
+
+RowList ToRowList(const std::vector<SliceRow>& rows) {
+  RowList list;
+  for (const SliceRow& row : rows) list.emplace_back(row.keys, row.measure);
+  return list;
+}
+
+/// Drains \p cursor \p page_size rows at a time.
+RowList DrainPaged(RowCursor cursor, size_t page_size) {
+  std::vector<SliceRow> rows;
+  while (!cursor.done()) {
+    size_t before = rows.size();
+    size_t produced = cursor.Next(page_size, &rows);
+    EXPECT_EQ(produced, rows.size() - before);
+    EXPECT_LE(produced, page_size);
+  }
+  EXPECT_EQ(cursor.rows_emitted(), rows.size());
+  return ToRowList(rows);
+}
+
+/// Group-by of \p base over \p group_dims (requested order), keeping the
+/// tuples whose \p pin dimension holds the pinned id and whose ranks fall in
+/// \p windows.
+RowList OracleGroupBy(const DwarfCube& cube,
+                      const std::map<std::vector<std::string>, Measure>& base,
+                      const std::vector<size_t>& group_dims,
+                      std::optional<std::pair<size_t, DimKey>> pin,
+                      const RankFilters& windows) {
+  std::vector<size_t> ascending = group_dims;
+  std::sort(ascending.begin(), ascending.end());
+  std::map<std::vector<DimKey>, Measure> groups;
+  for (const auto& [labels, measure] : base) {
+    std::vector<DimKey> ids;
+    for (size_t dim = 0; dim < labels.size(); ++dim) {
+      ids.push_back(cube.dictionary(dim).Lookup(labels[dim]).ValueOrDie());
+    }
+    if (pin.has_value() && ids[pin->first] != pin->second) continue;
+    bool keep = true;
+    for (size_t dim = 0; dim < windows.size(); ++dim) {
+      if (!windows[dim].has_value()) continue;
+      DimKey rank = cube.dictionary(dim).RankOf(ids[dim]);
+      keep = keep && rank >= windows[dim]->lo && rank <= windows[dim]->hi;
+    }
+    if (!keep) continue;
+    std::vector<DimKey> group;
+    for (size_t dim : ascending) group.push_back(ids[dim]);
+    auto [it, fresh] = groups.emplace(group, measure);
+    if (!fresh) it->second = AggCombine(cube.agg(), it->second, measure);
+  }
+  RowList rows;
+  for (const auto& [group, measure] : groups) {
+    std::vector<std::string> keys;
+    for (size_t dim : group_dims) {
+      size_t pos = static_cast<size_t>(
+          std::lower_bound(ascending.begin(), ascending.end(), dim) -
+          ascending.begin());
+      keys.push_back(cube.dictionary(dim).DecodeUnchecked(group[pos]));
+    }
+    rows.emplace_back(std::move(keys), measure);
+  }
+  return rows;
+}
+
+class RowOraclePropertyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RowOraclePropertyTest, SliceRollUpAndCursorMatchBruteForce) {
+  Rng rng(GetParam());
+  // Dims 1 and 3 are ordered; labels are fed in random order, so ids,
+  // ranks and label order all differ.
+  const size_t cards[] = {4, 7, 3, 6};
+  constexpr size_t kDims = 4;
+  const AggFn agg = GetParam() % 2 == 0 ? AggFn::kSum : AggFn::kMax;
+  CubeSchema schema("oracle",
+                    {DimensionSpec("a"), DimensionSpec("b", "", true),
+                     DimensionSpec("c"), DimensionSpec("d", "", true)},
+                    "m", agg);
+  DwarfBuilder builder(schema);
+  std::map<std::vector<std::string>, Measure> base;
+  for (int i = 0; i < 160; ++i) {
+    std::vector<std::string> labels;
+    for (size_t dim = 0; dim < kDims; ++dim) {
+      labels.push_back(std::string(1, static_cast<char>('a' + dim)) +
+                       std::to_string(rng.NextBelow(cards[dim])));
+    }
+    Measure measure = rng.NextInRange(1, 50);
+    ASSERT_TRUE(builder.AddTuple(labels, measure).ok());
+    auto [it, fresh] = base.emplace(labels, measure);
+    if (!fresh) it->second = AggCombine(agg, it->second, measure);
+  }
+  auto built = std::move(builder).Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  const DwarfCube& cube = *built;
+  const size_t kPageSizes[] = {1, 7, 4096};
+
+  for (int trial = 0; trial < 40; ++trial) {
+    // Slice: a stored key, or (one time in five) a key id the dictionary
+    // never assigned, which selects nothing.
+    size_t fixed = rng.NextBelow(kDims);
+    DimKey key = rng.NextBool(0.2)
+                     ? static_cast<DimKey>(cube.dictionary(fixed).size() + 3)
+                     : static_cast<DimKey>(
+                           rng.NextBelow(cube.dictionary(fixed).size()));
+    std::vector<size_t> others;
+    for (size_t dim = 0; dim < kDims; ++dim) {
+      if (dim != fixed) others.push_back(dim);
+    }
+    RowList expected = OracleGroupBy(cube, base, others,
+                                     std::make_pair(fixed, key),
+                                     RankFilters(kDims));
+    auto slice = Slice(cube, fixed, key);
+    ASSERT_TRUE(slice.ok()) << slice.status();
+    EXPECT_EQ(ToRowList(*slice), expected) << "slice " << fixed << "=" << key;
+    for (size_t page : kPageSizes) {
+      auto cursor = RowCursor::OverSlice(cube, fixed, key);
+      ASSERT_TRUE(cursor.ok()) << cursor.status();
+      EXPECT_EQ(DrainPaged(std::move(*cursor), page), expected)
+          << "slice cursor, page " << page;
+    }
+
+    // Roll-up: a random subset of dims in random order, with rank windows
+    // (sometimes empty, lo > hi) on some grouped ordered dims.
+    std::vector<size_t> group;
+    for (size_t dim = 0; dim < kDims; ++dim) {
+      if (rng.NextBool(0.5)) group.push_back(dim);
+    }
+    for (size_t i = group.size(); i > 1; --i) {
+      std::swap(group[i - 1], group[rng.NextBelow(i)]);
+    }
+    RankFilters windows(kDims);
+    bool any_window = false;
+    for (size_t dim : group) {
+      if (!schema.dimensions()[dim].ordered || !rng.NextBool(0.5)) continue;
+      DimKey size = static_cast<DimKey>(cube.dictionary(dim).size());
+      windows[dim] = RankWindow{static_cast<DimKey>(rng.NextBelow(size)),
+                                static_cast<DimKey>(rng.NextBelow(size))};
+      any_window = true;
+    }
+    const RankFilters* filters = any_window ? &windows : nullptr;
+    expected = OracleGroupBy(cube, base, group, std::nullopt, windows);
+    auto rollup = RollUp(cube, group, filters);
+    ASSERT_TRUE(rollup.ok()) << rollup.status();
+    EXPECT_EQ(ToRowList(*rollup), expected) << "rollup trial " << trial;
+    for (size_t page : kPageSizes) {
+      auto cursor = RowCursor::OverRollUp(cube, group, filters);
+      ASSERT_TRUE(cursor.ok()) << cursor.status();
+      EXPECT_EQ(DrainPaged(std::move(*cursor), page), expected)
+          << "rollup cursor, page " << page;
+    }
+
+    // A duplicate group dim is InvalidArgument, one past the cube is
+    // OutOfRange, on both entry points.
+    if (!group.empty()) {
+      std::vector<size_t> duplicated = group;
+      duplicated.push_back(group[rng.NextBelow(group.size())]);
+      EXPECT_TRUE(RollUp(cube, duplicated).status().IsInvalidArgument());
+      EXPECT_TRUE(
+          RowCursor::OverRollUp(cube, duplicated).status().IsInvalidArgument());
+    }
+    std::vector<size_t> past = group;
+    past.push_back(kDims + rng.NextBelow(3));
+    EXPECT_TRUE(RollUp(cube, past).status().IsOutOfRange());
+    EXPECT_TRUE(RowCursor::OverRollUp(cube, past).status().IsOutOfRange());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RowOraclePropertyTest,
+                         ::testing::Values(11, 22, 33, 44));
 
 }  // namespace
 }  // namespace scdwarf::dwarf

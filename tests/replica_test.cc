@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "client/client.h"
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "dwarf/builder.h"
 #include "json/json_parser.h"
@@ -281,135 +282,44 @@ TEST(SnapshotCodecTest, OrderedFlagsSurviveRoundTrip) {
   fs::remove_all(dir);
 }
 
-/// Re-encodes \p cube in the legacy v2 snapshot layout (per-node records,
-/// no arena image) — the bytes a pre-v3 publisher shipped. The production
-/// writer moved to the v3 flat-arena image, so v2/v1 compat coverage (and
-/// golden regen) builds its legacy bytes here.
-std::string EncodeLegacyV2Snapshot(const dwarf::DwarfCube& cube,
-                                   uint64_t epoch) {
-  std::string out;
-  auto put_u16 = [&out](uint16_t v) {
-    for (int i = 0; i < 2; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  };
-  auto put_u32 = [&out](uint32_t v) {
-    for (int i = 0; i < 4; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  };
-  auto put_u64 = [&out](uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  };
-  auto put_string = [&](const std::string& s) {
-    put_u32(static_cast<uint32_t>(s.size()));
-    out.append(s);
-  };
-  const dwarf::CubeSchema& schema = cube.schema();
-  out.append("SCDWCUBE", 8);
-  put_u32(2);  // legacy version
-  put_u64(epoch);
-  put_string(schema.name());
-  put_u32(static_cast<uint32_t>(schema.num_dimensions()));
-  for (const dwarf::DimensionSpec& dim : schema.dimensions()) {
-    put_string(dim.name);
-    put_string(dim.dimension_table);
-    out.push_back(dim.ordered ? 1 : 0);
-  }
-  put_string(schema.measure_name());
-  put_u32(static_cast<uint32_t>(schema.agg()));
-  for (size_t d = 0; d < cube.num_dimensions(); ++d) {
-    const dwarf::Dictionary& dict = cube.dictionary(d);
-    put_u64(dict.size());
-    for (dwarf::DimKey id = 0; id < dict.size(); ++id) {
-      put_string(dict.DecodeUnchecked(id));
-    }
-  }
-  put_u32(cube.root());
-  put_u64(cube.num_nodes());
-  for (dwarf::NodeId id = 0; id < cube.num_nodes(); ++id) {
-    const dwarf::NodeView node = cube.node(id);
-    put_u16(node.level);
-    out.push_back(node.all_coalesced ? 1 : 0);
-    put_u32(node.all_child);
-    put_u64(static_cast<uint64_t>(node.all_measure));
-    put_u32(static_cast<uint32_t>(node.cells.size()));
-    for (const dwarf::DwarfCell& cell : node.cells) {
-      put_u32(cell.key);
-      put_u32(cell.child);
-      put_u64(static_cast<uint64_t>(cell.measure));
-    }
-  }
-  put_u64(cube.stats().tuple_count);
-  put_u64(cube.stats().source_tuple_count);
-  out.append("SCDWEND", 7);
-  out.push_back('\0');
-  return out;
-}
-
-/// Downgrades v2 snapshot bytes to the v1 layout in place: version field
-/// back to 1 and the per-dimension ordered byte v2 appends after each
-/// dimension spec stripped (it must be 0 — v1 cannot express ordered dims).
-std::string DowngradeV2ToV1(std::string bytes) {
-  auto u32le = [&bytes](size_t pos) {
-    uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = (v << 8) |
-          static_cast<unsigned char>(bytes[pos + static_cast<size_t>(i)]);
-    }
-    return v;
-  };
-  size_t pos = 8;  // past the magic
-  EXPECT_EQ(u32le(pos), 2u);
-  bytes[pos] = 1;
-  pos += 4 + 8;             // version + epoch
-  pos += 4 + u32le(pos);    // schema name
-  uint32_t num_dims = u32le(pos);
-  pos += 4;
-  for (uint32_t d = 0; d < num_dims; ++d) {
-    pos += 4 + u32le(pos);  // dimension name
-    pos += 4 + u32le(pos);  // dimension table
-    EXPECT_EQ(bytes[pos], 0);
-    bytes.erase(pos, 1);
+/// Rewrites the version field of snapshot \p bytes (just past the magic).
+std::string WithVersion(std::string bytes, uint32_t version) {
+  for (int i = 0; i < 4; ++i) {
+    bytes[8 + static_cast<size_t>(i)] =
+        static_cast<char>((version >> (8 * i)) & 0xff);
   }
   return bytes;
 }
 
-// A v2 file (per-node records) and a v1 file (additionally predating the
-// per-dimension ordered byte) both still load — v1 as all-unordered;
-// versions past kVersion are rejected cleanly.
-TEST(SnapshotCodecTest, V1SnapshotsLoadAsUnordered) {
-  dwarf::DwarfCube cube = BuildCube(0xabc, 40);  // all-unordered schema
-  fs::path dir = ScratchDir("v1compat");
-  const std::string v2_path = (dir / SnapshotFileName(2)).string();
-  WriteFileBytes(v2_path, EncodeLegacyV2Snapshot(cube, 2));
-  const std::string v1_path = (dir / SnapshotFileName(3)).string();
-  WriteFileBytes(v1_path, DowngradeV2ToV1(ReadFileBytes(v2_path)));
-
-  auto v2_loaded = LoadCubeSnapshot(v2_path);
-  ASSERT_TRUE(v2_loaded.ok()) << v2_loaded.status();
-  EXPECT_EQ(v2_loaded->epoch, 2u);
-  EXPECT_TRUE(v2_loaded->cube.StructurallyEquals(cube));
-  ExpectSameAnswers(cube, v2_loaded->cube);
-
-  auto loaded = LoadCubeSnapshot(v1_path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->epoch, 2u);
-  for (const auto& dim : loaded->cube.schema().dimensions()) {
-    EXPECT_FALSE(dim.ordered);
+// Only v3 loads. A file headed as v2 (or any other version) is an
+// InvalidArgument that names the version, not a parse attempt.
+TEST(SnapshotCodecTest, NonCurrentVersionsAreRejected) {
+  fs::path dir = ScratchDir("versions");
+  const std::string v3_path = (dir / SnapshotFileName(1)).string();
+  ASSERT_TRUE(WriteCubeSnapshot(BuildCube(0xabc, 40), 1, v3_path).ok());
+  for (uint32_t version : {1u, 2u, 4u, 99u}) {
+    const std::string path = (dir / SnapshotFileName(1 + version)).string();
+    WriteFileBytes(path, WithVersion(ReadFileBytes(v3_path), version));
+    auto loaded = LoadCubeSnapshot(path);
+    ASSERT_FALSE(loaded.ok()) << "version " << version << " loaded";
+    EXPECT_TRUE(loaded.status().IsInvalidArgument()) << loaded.status();
+    EXPECT_NE(loaded.status().ToString().find("version " +
+                                              std::to_string(version)),
+              std::string::npos)
+        << loaded.status();
   }
-  EXPECT_EQ(loaded->cube.range_index(), nullptr);
-  ExpectSameAnswers(cube, loaded->cube);
-
-  // An unknown future version is an InvalidArgument, not a parse attempt.
-  std::string future = ReadFileBytes(v2_path);
-  future[8] = 99;
-  const std::string future_path = (dir / SnapshotFileName(4)).string();
-  WriteFileBytes(future_path, future);
-  EXPECT_TRUE(LoadCubeSnapshot(future_path).status().IsInvalidArgument());
   fs::remove_all(dir);
 }
 
-/// The fixed cube behind the committed v1 golden file — small enough that
-/// the pinned answers below are hand-checkable.
+/// The fixed cube behind the committed v3 golden file — small enough that
+/// the pinned answers below are hand-checkable. Day is ordered, so the file
+/// also pins the per-dimension ordered byte and value-range answers.
 dwarf::DwarfCube GoldenCube() {
-  dwarf::DwarfBuilder builder(TestSchema());
+  std::vector<dwarf::DimensionSpec> specs;
+  specs.emplace_back("Day", "", /*ordered_in=*/true);
+  specs.emplace_back("Station");
+  dwarf::DwarfBuilder builder(dwarf::CubeSchema(
+      "replica_test", std::move(specs), "bikes", dwarf::AggFn::kSum));
   const std::vector<std::tuple<const char*, const char*, Measure>> tuples = {
       {"Mon", "Station0", 5},  {"Mon", "Station1", 7}, {"Tue", "Station0", 11},
       {"Wed", "Station2", 13}, {"Mon", "Station0", 3}, {"Sun", "Station4", 2},
@@ -420,17 +330,15 @@ dwarf::DwarfCube GoldenCube() {
   return std::move(builder).Build().ValueOrDie();
 }
 
-// The committed golden file pins the v1 on-disk layout: bytes an older
-// publisher shipped must keep loading under every future reader, with the
-// answers they encoded. Unlike V1SnapshotsLoadAsUnordered (which builds its
-// legacy bytes fresh each run), this catches reader regressions against the
-// historical format even after the writer moves on (it writes v3 images
-// now). SCDWARF_REGEN_GOLDEN=1 rewrites the file and prints fresh pinned
-// payloads — only legitimate when the legacy encode/downgrade helpers
-// themselves change; never regen to paper over a reader-side failure.
-TEST(SnapshotCodecTest, V1GoldenFileKeepsLoadingWithPinnedAnswers) {
+// The committed golden file pins the v3 on-disk layout: bytes a publisher
+// shipped must keep loading under every later reader, with the answers they
+// encoded — a reader regression shows here even if the writer changes in
+// step with it. SCDWARF_REGEN_GOLDEN=1 rewrites the file and prints fresh
+// pinned payloads; that is only legitimate when the format itself changes
+// (with a new version number), never to paper over a reader-side failure.
+TEST(SnapshotCodecTest, V3GoldenFileKeepsLoadingWithPinnedAnswers) {
   const std::string golden =
-      std::string(SCDWARF_TESTDATA_DIR) + "/epoch-v1-golden.cf";
+      std::string(SCDWARF_TESTDATA_DIR) + "/epoch-v3-golden.cf";
   const std::pair<const char*, const char*> kPinned[] = {
       {R"({"op":"point","keys":["Mon","Station0"]})", R"({"measure":8})"},
       {R"({"op":"point","keys":[null,null]})", R"({"measure":41})"},
@@ -440,11 +348,18 @@ TEST(SnapshotCodecTest, V1GoldenFileKeepsLoadingWithPinnedAnswers) {
       {R"({"op":"slice","dim":"Station","key":"Station0"})",
        R"({"rows":[{"keys":["Mon"],"measure":8},)"
        R"({"keys":["Tue"],"measure":11}]})"},
+      {R"({"op":"aggregate","predicates":[)"
+       R"({"kind":"range","lo":"Sun","hi":"Tue"},{"kind":"all"}]})",
+       R"({"measure":13})"},
+      {R"({"op":"rollup","dims":["Station","Day"],)"
+       R"("where":[{"dim":"Day","lo":"Mon","hi":"Sun"}]})",
+       R"({"rows":[{"keys":["Station0","Mon"],"measure":8},)"
+       R"({"keys":["Station1","Mon"],"measure":7},)"
+       R"({"keys":["Station4","Sun"],"measure":2}]})"},
   };
 
   if (std::getenv("SCDWARF_REGEN_GOLDEN") != nullptr) {
-    WriteFileBytes(golden,
-                   DowngradeV2ToV1(EncodeLegacyV2Snapshot(GoldenCube(), 1)));
+    ASSERT_TRUE(WriteCubeSnapshot(GoldenCube(), 1, golden).ok());
     for (const auto& [request_json, unused] : kPinned) {
       auto request = ParseRequest(request_json);
       ASSERT_TRUE(request.ok());
@@ -457,9 +372,8 @@ TEST(SnapshotCodecTest, V1GoldenFileKeepsLoadingWithPinnedAnswers) {
   auto loaded = LoadCubeSnapshot(golden);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(loaded->epoch, 1u);
-  for (const auto& dim : loaded->cube.schema().dimensions()) {
-    EXPECT_FALSE(dim.ordered);
-  }
+  EXPECT_TRUE(loaded->cube.schema().dimensions()[0].ordered);
+  EXPECT_FALSE(loaded->cube.schema().dimensions()[1].ordered);
   ExpectSameAnswers(GoldenCube(), loaded->cube);
   for (const auto& [request_json, payload] : kPinned) {
     auto request = ParseRequest(request_json);
@@ -792,6 +706,55 @@ TEST(ReplicaServerTest, BootstrapsFollowsSpoolAndNotifications) {
   ASSERT_TRUE(polled.ok());
   EXPECT_EQ(*polled, 0u);
 
+  ExpectSameAnswers(*publisher.store().snapshot().cube,
+                    *replica_server.server()->store().snapshot().cube);
+  replica_server.Stop();
+  fs::remove_all(dir);
+}
+
+// The publisher bounds its spool to the trailing retain_epochs files. Temp
+// files and files of later epochs are left alone, and a replica bootstrapping
+// from the pruned spool still catches up, counting and skipping a planted
+// future file headed as snapshot v2.
+TEST(ReplicaServerTest, SpoolKeepsTrailingRetainEpochsAndStillBootstraps) {
+  fs::path dir = ScratchDir("prune");
+  ServerOptions publisher_options;
+  publisher_options.num_workers = 1;
+  publisher_options.snapshot_dir = dir.string();
+  publisher_options.retain_epochs = 3;
+  QueryServer publisher(BuildCube(12, 60), publisher_options);
+
+  const fs::path leftover_tmp = dir / (SnapshotFileName(1) + ".tmp.1");
+  WriteFileBytes(leftover_tmp, "half-written");
+  const fs::path future = dir / SnapshotFileName(1000);
+  WriteFileBytes(future,
+                 WithVersion(ReadFileBytes(dir / SnapshotFileName(0)), 2));
+
+  Rng rng(121);
+  constexpr uint64_t kPublishes = 9;
+  for (uint64_t i = 0; i < kPublishes; ++i) {
+    ASSERT_TRUE(publisher.ApplyUpdate(RandomBatch(rng, 5)).ok());
+  }
+  auto listed = ListSnapshots(dir.string());
+  ASSERT_TRUE(listed.ok());
+  std::vector<uint64_t> epochs;
+  for (const SnapshotFileEntry& entry : *listed) epochs.push_back(entry.epoch);
+  EXPECT_EQ(epochs, (std::vector<uint64_t>{kPublishes - 2, kPublishes - 1,
+                                           kPublishes, 1000}));
+  EXPECT_TRUE(fs::exists(leftover_tmp));
+
+  metrics::Counter* failures = metrics::GlobalRegistry().GetCounter(
+      "replica_snapshot_load_failures_total");
+  const uint64_t failures_before = failures->value();
+  ReplicaOptions options;
+  options.snapshot_dir = dir.string();
+  options.num_workers = 1;
+  options.retain_epochs = 3;
+  options.bootstrap_wait_ms = 2000;
+  ReplicaServer replica_server(options);
+  ASSERT_TRUE(replica_server.Start().ok());
+  EXPECT_EQ(replica_server.epoch(), kPublishes);
+  EXPECT_GE(failures->value(), failures_before + 1);
   ExpectSameAnswers(*publisher.store().snapshot().cube,
                     *replica_server.server()->store().snapshot().cube);
   replica_server.Stop();
